@@ -275,6 +275,7 @@ impl<T> std::fmt::Debug for Injector<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     #[test]
@@ -342,6 +343,7 @@ mod tests {
         const PER_PRODUCER: u64 = if cfg!(miri) { 40 } else { 2_000 };
         const PRODUCERS: u64 = 2;
         let q = Arc::new(Injector::with_capacity(8));
+        let producers_done = Arc::new(AtomicBool::new(false));
         let producers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let q = Arc::clone(&q);
@@ -364,12 +366,15 @@ mod tests {
         let consumers: Vec<_> = (0..2)
             .map(|_| {
                 let q = Arc::clone(&q);
+                let producers_done = Arc::clone(&producers_done);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
                     let mut idle = 0u32;
-                    // Drain until both producers are long done and the
-                    // ring reads empty repeatedly.
-                    while idle < 200 {
+                    // Drain until both producers are done and the ring
+                    // reads empty repeatedly. Stopping on emptiness alone
+                    // could leave a producer blocked on a full ring with
+                    // no consumer left.
+                    while !(producers_done.load(Ordering::SeqCst) && idle >= 200) {
                         match q.pop() {
                             Some(v) => {
                                 got.push(v);
@@ -388,6 +393,7 @@ mod tests {
         for h in producers {
             h.join().unwrap();
         }
+        producers_done.store(true, Ordering::SeqCst);
         let mut all: Vec<u64> = Vec::new();
         let mut per_consumer: Vec<Vec<u64>> = Vec::new();
         for h in consumers {

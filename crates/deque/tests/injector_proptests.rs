@@ -6,6 +6,7 @@
 use hermes_deque::{Injector, InjectorFullError};
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
@@ -79,6 +80,7 @@ fn exchange(
     cap: usize,
 ) -> Result<(), TestCaseError> {
     let q = Arc::new(Injector::with_capacity(cap));
+    let producers_done = Arc::new(AtomicBool::new(false));
     let producer_handles: Vec<_> = (0..producers)
         .map(|p| {
             let q = Arc::clone(&q);
@@ -103,10 +105,14 @@ fn exchange(
     let consumer_handles: Vec<_> = (0..consumers)
         .map(|_| {
             let q = Arc::clone(&q);
+            let producers_done = Arc::clone(&producers_done);
             std::thread::spawn(move || {
                 let mut got = Vec::new();
                 let mut idle = 0u32;
-                while idle < 400 {
+                // Stop only once every producer is done: a consumer that
+                // stopped on emptiness alone could leave a producer
+                // blocked on a full ring with no consumer left.
+                while !(producers_done.load(Ordering::SeqCst) && idle >= 400) {
                     match q.pop() {
                         Some(v) => {
                             got.push(v);
@@ -125,6 +131,7 @@ fn exchange(
     for h in producer_handles {
         h.join().unwrap();
     }
+    producers_done.store(true, Ordering::SeqCst);
     let mut all: Vec<u64> = Vec::new();
     let mut per_consumer = Vec::new();
     for h in consumer_handles {

@@ -27,16 +27,20 @@
 //!   schema and returns [`TraceStats`] for count reconciliation.
 //! - [`prometheus_text`] — render a live
 //!   [`MetricsSnapshot`](hermes_telemetry::MetricsSnapshot) (from
-//!   `Pool::metrics()` / `Server::metrics()`) in the Prometheus text
-//!   exposition format.
+//!   `Pool::metrics()` / `Server::metrics()`, available on every pool,
+//!   traced or not) in the Prometheus text exposition format. Each
+//!   counter it renders has one writer (the owning worker), is updated
+//!   relaxed and only grows, and no consistency across fields is
+//!   promised.
 //! - [`FlightRecorder`] — an always-on bounded sink whose
 //!   [`dump`](FlightRecorder::dump) interleaves the retained tail of
 //!   every stream for deadlock panics and budget-breach callbacks.
 //!
 //! Everything here is read-side: the crate adds no recording cost. The
-//! hot-path story stays the one `hermes-telemetry` tells — two relaxed
-//! stores per metrics update, one wait-free ring record per event, and
-//! structurally zero with no sink attached.
+//! hot-path story stays the one the runtime tells — one relaxed load
+//! and store on the worker's own cache line per counter update, always
+//! on; one wait-free ring record per event, and no event work at all
+//! with no sink attached.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

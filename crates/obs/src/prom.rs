@@ -51,7 +51,7 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot, prefix: &str) -> String {
         &mut out,
         prefix,
         "worker_parked_seconds_total",
-        "Time each worker spent parked on the pool condvar.",
+        "Time each worker spent parked on the pool condvar or in elastic sleep.",
         "counter",
     );
     for (w, s) in snapshot.workers.iter().enumerate() {

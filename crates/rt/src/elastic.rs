@@ -142,9 +142,8 @@ pub struct LoadSignal {
     /// Merged depth of the injector cells (tasks admitted but not yet
     /// picked up).
     pub queue_depth: usize,
-    /// Windowed busy-share of the awake workers, in permille (0 when no
-    /// live-metrics hub exists; the depth and steal signals then carry
-    /// the decision alone).
+    /// Windowed busy share of the pool's workers, in permille (see
+    /// [`Pool::busy_share_permille`](crate::Pool::busy_share_permille)).
     pub busy_permille: u32,
     /// Failed steal sweeps observed since the last consultation — the
     /// caller's evidence that awake workers are idling. A sleep is only

@@ -52,6 +52,7 @@ mod driver;
 mod elastic;
 mod job;
 mod latch;
+mod metrics;
 mod pool;
 mod sysfs;
 mod task;
@@ -66,9 +67,10 @@ pub use elastic::{
 };
 pub use job::Priority;
 pub use latch::{Latch, WakerLatch};
+pub use metrics::RtStats;
 pub use pool::{
     current_worker_energy_nj, current_worker_index, join, parallel_chunks, parallel_for,
-    parallel_map_reduce, DequeKind, Pool, PoolBuilder, RtStats, SpawnOptions,
+    parallel_map_reduce, DequeKind, Pool, PoolBuilder, SpawnOptions,
 };
 pub use sysfs::{parse_available_frequencies, parse_energy_uj, RaplProbe, SysfsCpufreqDriver};
 // The live-metrics types `Pool::metrics` returns and the span-phase

@@ -3,6 +3,7 @@
 use crate::driver::{EmulatedDvfs, FrequencyDriver, NullDriver, PowerCharge};
 use crate::elastic::{ElasticConfig, ElasticState, LoadSignal, SleepVerdict, WorkerState};
 use crate::job::{HeapJob, JobRef, Priority, StackJob};
+use crate::metrics::{add, Counters, RtStats};
 use crate::task::FutureTask;
 use hermes_core::{
     Frequency, FrequencyActuator, Policy, TempoChange, TempoConfig, TempoController, TempoStats,
@@ -10,8 +11,7 @@ use hermes_core::{
 };
 use hermes_deque::{ClassInjector, Lane, LockFreeDeque, Steal, TaskDeque, TheDeque};
 use hermes_telemetry::{
-    Event, MetricsHub, MetricsSnapshot, PowerKind, SpanPhase, StealOutcome, TelemetrySink,
-    MACHINE_STREAM,
+    Event, MetricsSnapshot, PowerKind, SpanPhase, StealOutcome, TelemetrySink, MACHINE_STREAM,
 };
 use hermes_topology::{CoreId, Topology, VictimPolicy, VictimSelector};
 use parking_lot::{Condvar, Mutex};
@@ -119,11 +119,6 @@ fn injector_cell_order(topology: &Topology, core: CoreId) -> Vec<usize> {
 /// scan per tick) to be invisible in both energy and latency.
 const PARK_RECHECK: Duration = Duration::from_millis(1);
 
-/// Refresh period of the windowed busy-share estimator feeding the
-/// elastic scale controller — two cooldowns, so consecutive scale
-/// decisions never act on the same stale sample.
-const BUSY_WINDOW_NS: u64 = 4_000_000;
-
 /// Which deque implementation the pool's workers use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DequeKind {
@@ -133,100 +128,6 @@ pub enum DequeKind {
     /// Atomics-only Chase–Lev deque (steals race on a CAS; no lock on
     /// any path); for the `sweep --ablate-deque` comparison.
     LockFree,
-}
-
-/// Scheduler counters of a running [`Pool`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RtStats {
-    /// Tasks pushed onto worker deques.
-    pub pushes: u64,
-    /// Tasks popped by their owner.
-    pub pops: u64,
-    /// Successful steals.
-    pub steals: u64,
-    /// Steal attempts that found an empty deque (starvation).
-    pub empty_steals: u64,
-    /// Steal attempts that lost a race for present work to the owner or
-    /// another thief (contention) — the signal the deque ablation needs
-    /// to separate lock/CAS pressure from plain work shortage.
-    pub lost_race_steals: u64,
-    /// Tasks executed inline because a deque was full.
-    pub inline_fallbacks: u64,
-    /// Tasks taken from the external-submission injector.
-    pub injector_pops: u64,
-    /// Completed park episodes (a worker exhausted its spin budget and
-    /// slept on the pool's condvar until work or termination).
-    pub parks: u64,
-    /// Total nanoseconds workers spent parked.
-    pub parked_ns: u64,
-    /// Completed elastic-sleep episodes (the pool scaled a worker out;
-    /// see [`PoolBuilder::elastic`]). Unlike a park, a sleep ends only
-    /// on an explicit wake signal, never on a timed re-check.
-    pub sleeps: u64,
-    /// Total nanoseconds workers spent in elastic sleep.
-    pub slept_ns: u64,
-    /// Elastic wake signals that ended a sleep episode (== `sleeps`
-    /// once the pool is quiescent).
-    pub wakes: u64,
-    /// Future-task polls executed (each is one `Future::poll` of a task
-    /// spawned via [`Pool::spawn_future`]).
-    pub future_polls: u64,
-    /// Future-task waker invocations, including no-op wakes of tasks
-    /// that were already scheduled or complete.
-    pub future_wakes: u64,
-    /// Future tasks re-queued by a wake (idle → scheduled transitions;
-    /// at most one per wake, at least one fewer than `future_polls`
-    /// per task).
-    pub future_repushes: u64,
-}
-
-impl RtStats {
-    /// All unsuccessful steal attempts (empty + lost races).
-    #[must_use]
-    pub fn failed_steals(&self) -> u64 {
-        self.empty_steals + self.lost_race_steals
-    }
-}
-
-#[derive(Debug, Default)]
-struct AtomicStats {
-    pushes: AtomicU64,
-    pops: AtomicU64,
-    steals: AtomicU64,
-    empty_steals: AtomicU64,
-    lost_race_steals: AtomicU64,
-    inline_fallbacks: AtomicU64,
-    injector_pops: AtomicU64,
-    parks: AtomicU64,
-    parked_ns: AtomicU64,
-    sleeps: AtomicU64,
-    slept_ns: AtomicU64,
-    wakes: AtomicU64,
-    future_polls: AtomicU64,
-    future_wakes: AtomicU64,
-    future_repushes: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> RtStats {
-        RtStats {
-            pushes: self.pushes.load(Ordering::Relaxed),
-            pops: self.pops.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            empty_steals: self.empty_steals.load(Ordering::Relaxed),
-            lost_race_steals: self.lost_race_steals.load(Ordering::Relaxed),
-            inline_fallbacks: self.inline_fallbacks.load(Ordering::Relaxed),
-            injector_pops: self.injector_pops.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            parked_ns: self.parked_ns.load(Ordering::Relaxed),
-            sleeps: self.sleeps.load(Ordering::Relaxed),
-            slept_ns: self.slept_ns.load(Ordering::Relaxed),
-            wakes: self.wakes.load(Ordering::Relaxed),
-            future_polls: self.future_polls.load(Ordering::Relaxed),
-            future_wakes: self.future_wakes.load(Ordering::Relaxed),
-            future_repushes: self.future_repushes.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Builder for [`Pool`].
@@ -316,7 +217,8 @@ impl PoolBuilder {
     /// tempo transitions, and DVFS actuations as they happen; energy
     /// totals are emitted by [`Pool::flush_energy_telemetry`]. Without a
     /// sink the event paths are skipped entirely (not even a timestamp
-    /// is read), so the default costs nothing.
+    /// is read). The counters behind [`Pool::stats`], [`Pool::metrics`]
+    /// and [`Pool::busy_share_permille`] are always on, sink or not.
     #[must_use]
     pub fn telemetry(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
         self.telemetry = Some(sink);
@@ -496,7 +398,6 @@ impl PoolBuilder {
             .iter()
             .map(|&core| injector_cell_order(&topology, core))
             .collect();
-        let cell_pops: Vec<AtomicU64> = (0..domains).map(|_| AtomicU64::new(0)).collect();
 
         let profile_period_ns = tempo.profiler.period_ns;
         // A NullSink is equivalent to no sink: drop it here so the event
@@ -506,17 +407,11 @@ impl PoolBuilder {
         if telemetry.is_some() {
             controller.set_tracing(true);
         }
-        // The live-metrics hub exists only alongside a real sink, so the
-        // null path never reads a clock or publishes a counter for it.
-        let metrics = telemetry
-            .is_some()
-            .then(|| Arc::new(MetricsHub::new(workers)));
         let inner = Arc::new(PoolInner {
             deques,
             cells,
             worker_cell,
             cell_order,
-            cell_pops,
             controller: Mutex::new(controller),
             driver,
             emu,
@@ -527,15 +422,11 @@ impl PoolBuilder {
             spin_budget: self.spin_budget.unwrap_or(DEFAULT_SPIN_BUDGET),
             parking: self.parking.unwrap_or(true),
             elastic: self.elastic.map(|cfg| ElasticState::new(cfg, workers)),
-            stats: AtomicStats::default(),
-            busy_window_at_ns: AtomicU64::new(0),
-            busy_window_busy_ns: AtomicU64::new(0),
-            busy_window_permille: AtomicU64::new(0),
+            counters: Counters::new(workers, domains),
             epoch: Instant::now(),
             last_profile_ns: AtomicU64::new(0),
             profile_period_ns,
             sink: telemetry,
-            metrics,
             selector,
             distances,
         });
@@ -722,7 +613,7 @@ impl Pool {
     /// Scheduler counters so far.
     #[must_use]
     pub fn stats(&self) -> RtStats {
-        self.inner.stats.snapshot()
+        self.inner.counters.stats()
     }
 
     /// Number of injector cells the front door is sharded into — one
@@ -733,16 +624,12 @@ impl Pool {
     }
 
     /// Per-cell injector pop counters, indexed by clock domain. Their
-    /// sum is exactly [`RtStats::injector_pops`] (both counters are
-    /// bumped at the same site), which is the merged-view back-compat
-    /// contract for pre-sharding consumers.
+    /// sum is exactly [`RtStats::injector_pops`] (the merged counter is
+    /// their sum), which is the merged-view back-compat contract for
+    /// pre-sharding consumers.
     #[must_use]
     pub fn injector_cell_pops(&self) -> Vec<u64> {
-        self.inner
-            .cell_pops
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.inner.counters.cell_pops()
     }
 
     /// Current per-cell injector depths, indexed by clock domain (racy
@@ -753,23 +640,37 @@ impl Pool {
     }
 
     /// A live [`MetricsSnapshot`] — per-worker busy/steal/park time and
-    /// task counts (seqlock-published by the workers), plus the current
-    /// injector depth — without quiescing the pool. `None` unless a
-    /// telemetry sink is attached (the hub only exists alongside one;
-    /// see DESIGN.md §Observability). Serving layers wrap this and fill
-    /// in the request-level fields (`in_flight`, latency quantiles).
+    /// task counts read from the workers' counter blocks, plus the
+    /// current injector depth — without quiescing the pool, traced or
+    /// not. A worker's `parked_ns` covers both parks and elastic sleeps.
+    /// Each field has a single writer and is monotone; fields are not
+    /// read as one consistent cut (see DESIGN.md §Observability).
+    /// Serving layers wrap this and fill in the request-level fields
+    /// (`in_flight`, latency quantiles).
+    ///
+    /// ```
+    /// use hermes_rt::{parallel_for, Pool};
+    /// let mut pool = Pool::new(2);
+    /// let mut v: Vec<u64> = (0..10_000).collect();
+    /// pool.install(|| parallel_for(&mut v, 64, |x| *x += 1));
+    /// let live = pool.metrics(); // mid-run, no sink needed
+    /// assert_eq!(live.workers.len(), 2);
+    /// // A worker counts a job just after running it, so stop the pool
+    /// // before relying on exact totals.
+    /// pool.stop();
+    /// assert!(pool.metrics().tasks() >= live.tasks().max(1));
+    /// ```
     #[must_use]
-    pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        let hub = self.inner.metrics.as_ref()?;
-        let mut workers = hub.sample();
-        // The hub publishes scheduler counters only; the energy model
-        // lives pool-side, so fill the per-worker joule column here.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut workers = self.inner.counters.samples();
+        // The counter blocks hold scheduler counters only; the energy
+        // model lives pool-side, so fill the per-worker joule column here.
         if let Some(emu) = self.inner.emu.as_ref() {
             for (sample, joules) in workers.iter_mut().zip(emu.energy_by_worker()) {
                 sample.energy_uj = (joules * 1e6) as u64;
             }
         }
-        Some(MetricsSnapshot {
+        MetricsSnapshot {
             at_ns: self.elapsed_ns(),
             workers,
             injector_depth: self.inner.cells.iter().map(ClassInjector::len).sum(),
@@ -785,7 +686,17 @@ impl Pool {
                 .sink
                 .as_deref()
                 .map_or(0, TelemetrySink::dropped_events),
-        })
+        }
+    }
+
+    /// The pool's busy share in permille: executed-job time over worker
+    /// time across a window of a few milliseconds, refreshed by whoever
+    /// reads it after the window rolls. This is the one busy-share
+    /// signal the elastic scale controller and the serving layer's
+    /// admission control both read.
+    #[must_use]
+    pub fn busy_share_permille(&self) -> u32 {
+        self.inner.counters.busy_share_permille(self.elapsed_ns())
     }
 
     /// Workers currently awake — the full worker count minus those
@@ -980,10 +891,6 @@ pub(crate) struct PoolInner {
     /// Per-worker cell polling order (own cell first, then by steal
     /// distance; see `injector_cell_order`).
     cell_order: Vec<Vec<usize>>,
-    /// Per-cell pop counters. Every pop increments its cell's counter
-    /// and the merged `stats.injector_pops` at the same site, so the
-    /// per-cell view reconciles exactly with the legacy merged counter.
-    cell_pops: Vec<AtomicU64>,
     controller: Mutex<TempoController>,
     driver: Arc<dyn FrequencyDriver>,
     emu: Option<Arc<EmulatedDvfs>>,
@@ -1002,13 +909,9 @@ pub(crate) struct PoolInner {
     /// Elastic worker-count scaling state; `None` (the default) keeps
     /// the subsystem entirely absent (see [`PoolBuilder::elastic`]).
     elastic: Option<ElasticState>,
-    stats: AtomicStats,
-    /// Windowed busy-share estimator backing the elastic load signal:
-    /// the epoch-ns of the last refresh, the total busy-ns sampled at
-    /// it, and the permille it yielded (served until the window rolls).
-    busy_window_at_ns: AtomicU64,
-    busy_window_busy_ns: AtomicU64,
-    busy_window_permille: AtomicU64,
+    /// The counter plane: one always-on block per worker (see
+    /// [`crate::metrics`]).
+    counters: Counters,
     /// Pool start time and nanoseconds of the last profiler tick since
     /// then; any worker on the steal path advances it.
     epoch: Instant,
@@ -1016,9 +919,6 @@ pub(crate) struct PoolInner {
     profile_period_ns: u64,
     /// Telemetry destination; `None` keeps every event path dormant.
     sink: Option<Arc<dyn TelemetrySink>>,
-    /// Live-metrics hub (seqlock-published per-worker counters); exists
-    /// exactly when `sink` does, so the null path publishes nothing.
-    metrics: Option<Arc<MetricsHub>>,
     /// Victim-selection policy instantiated for this pool's placement.
     selector: Box<dyn VictimSelector>,
     /// Worker-to-worker steal distances under the configured topology.
@@ -1113,7 +1013,7 @@ impl PoolInner {
                     if let Some((pool, w)) = current_worker() {
                         if Arc::ptr_eq(&pool, self) {
                             if let Some(stolen) = self.cells[cell].pop() {
-                                self.count_injector_pop(cell);
+                                add(&self.counters.worker(w).injector_pops[cell], 1);
                                 // SAFETY: the injector hands each job
                                 // to exactly one popper.
                                 unsafe { self.execute(w, stolen) };
@@ -1148,19 +1048,12 @@ impl PoolInner {
         best
     }
 
-    /// Count one pop from `cell`, keeping the per-cell and merged
-    /// legacy counters in exact agreement (single increment site).
-    fn count_injector_pop(&self, cell: usize) {
-        self.cell_pops[cell].fetch_add(1, Ordering::Relaxed);
-        self.stats.injector_pops.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Poll the injector cells in worker `w`'s polling order: its own
     /// domain's cell first, then cross-domain in steal-distance order.
     fn pop_injected(&self, w: usize) -> Option<JobRef> {
         for &c in &self.cell_order[w] {
             if let Some(job) = self.cells[c].pop() {
-                self.count_injector_pop(c);
+                add(&self.counters.worker(w).injector_pops[c], 1);
                 return Some(job);
             }
         }
@@ -1205,48 +1098,19 @@ impl PoolInner {
         if el.awake_workers() >= el.workers() {
             return;
         }
-        let sig = self.load_signal(0);
         let now_ns = self.epoch.elapsed().as_nanos() as u64;
-        let _ = el.try_wake_for_load(sig, now_ns);
+        let _ = el.try_wake_for_load(self.load_signal(now_ns, 0), now_ns);
     }
 
-    /// One observation of the pool's load for the scale controller:
-    /// merged injector depth, the windowed busy-share (when the
-    /// live-metrics hub exists), and the caller's failed-sweep
-    /// evidence.
-    fn load_signal(&self, failed_sweeps: u64) -> LoadSignal {
+    /// One observation of the pool's load for the scale controller at
+    /// pool-clock `now_ns`: merged injector depth, the windowed busy
+    /// share, and the caller's failed-sweep evidence.
+    fn load_signal(&self, now_ns: u64, failed_sweeps: u64) -> LoadSignal {
         LoadSignal {
             queue_depth: self.cells.iter().map(ClassInjector::len).sum(),
-            busy_permille: self.busy_share_permille(),
+            busy_permille: self.counters.busy_share_permille(now_ns),
             failed_sweeps,
         }
-    }
-
-    /// Windowed busy-share of the pool in permille, refreshed at most
-    /// once per [`BUSY_WINDOW_NS`] by whoever crosses the boundary
-    /// first (everyone else reads the cached value). 0 without a
-    /// live-metrics hub — the depth and steal signals then drive the
-    /// elastic decisions alone.
-    fn busy_share_permille(&self) -> u32 {
-        let Some(hub) = self.metrics.as_ref() else {
-            return 0;
-        };
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        let last = self.busy_window_at_ns.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < BUSY_WINDOW_NS
-            || self
-                .busy_window_at_ns
-                .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-        {
-            return self.busy_window_permille.load(Ordering::Relaxed) as u32;
-        }
-        let total: u64 = hub.sample().iter().map(|s| s.busy_ns).sum();
-        let prev = self.busy_window_busy_ns.swap(total, Ordering::Relaxed);
-        let wall = now.saturating_sub(last).max(1) * self.deques.len() as u64;
-        let permille = (total.saturating_sub(prev).saturating_mul(1000) / wall).min(1000);
-        self.busy_window_permille.store(permille, Ordering::Relaxed);
-        permille as u32
     }
 
     /// An idle worker's spin budget ran out: decide between elastic
@@ -1255,9 +1119,8 @@ impl PoolInner {
     /// last held work).
     fn idle_block(&self, w: usize, failed_sweeps: u64) {
         if let Some(el) = self.elastic.as_ref() {
-            let sig = self.load_signal(failed_sweeps);
             let now_ns = self.epoch.elapsed().as_nanos() as u64;
-            match el.consult(w, sig, now_ns) {
+            match el.consult(w, self.load_signal(now_ns, failed_sweeps), now_ns) {
                 SleepVerdict::Sleep => return self.elastic_sleep(w, el),
                 SleepVerdict::Sentinel => {
                     // The sentinel is the pool's wake latency: it may
@@ -1308,15 +1171,13 @@ impl PoolInner {
         let reason = el.sleep_wait(w, &self.terminate);
         let slept = t0.elapsed();
         let slept_ns = slept.as_nanos() as u64;
-        self.stats.sleeps.fetch_add(1, Ordering::Relaxed);
-        self.stats.slept_ns.fetch_add(slept_ns, Ordering::Relaxed);
-        self.stats.wakes.fetch_add(1, Ordering::Relaxed);
+        let counters = self.counters.worker(w);
+        add(&counters.sleeps, 1);
+        add(&counters.slept_ns, slept_ns);
+        add(&counters.wakes, 1);
         if let Some(emu) = &self.emu {
             let charge = emu.account_slept(w, slept);
             self.record_power(w, PowerKind::Parked, charge);
-        }
-        if let Some(hub) = &self.metrics {
-            hub.add_parked_ns(w, slept_ns);
         }
         if let Some(sink) = self.sink.as_deref() {
             sink.record(
@@ -1353,14 +1214,23 @@ impl PoolInner {
     /// Record a task-lifecycle event on the calling thread's stream: the
     /// worker's own stream when the caller is a worker of this pool, the
     /// machine stream otherwise (wakes arriving from external threads).
-    fn record_task_event(self: &Arc<Self>, event: Event) {
+    fn record_task_event(&self, event: Event) {
         if let Some(sink) = self.sink.as_deref() {
-            let stream = match current_worker() {
-                Some((pool, w)) if Arc::ptr_eq(&pool, self) => w,
-                _ => MACHINE_STREAM,
-            };
+            let stream = self.local_index().unwrap_or(MACHINE_STREAM);
             sink.record(stream, self.epoch.elapsed().as_nanos() as u64, event);
         }
+    }
+
+    /// The calling thread's worker index if it is a worker of this
+    /// pool. Compares pointers only, so unlike [`current_worker`] it
+    /// touches no reference count.
+    fn local_index(&self) -> Option<usize> {
+        CURRENT.with(|c| {
+            c.borrow()
+                .as_ref()
+                .filter(|(weak, _)| std::ptr::eq(weak.as_ptr(), self))
+                .map(|&(_, w)| w)
+        })
     }
 
     /// Emit the [`Event::PowerInterval`] for a charge the emulated-DVFS
@@ -1387,14 +1257,17 @@ impl PoolInner {
     }
 
     /// Count one future-task poll (see [`RtStats::future_polls`]).
-    pub(crate) fn task_polled(self: &Arc<Self>) {
-        self.stats.future_polls.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn task_polled(&self) {
+        self.counters
+            .add_from(self.local_index(), |c| &c.future_polls);
         self.record_task_event(Event::TaskPoll);
     }
 
-    /// Count one future-task wake (see [`RtStats::future_wakes`]).
-    pub(crate) fn task_woken(self: &Arc<Self>) {
-        self.stats.future_wakes.fetch_add(1, Ordering::Relaxed);
+    /// Count one future-task wake (see [`RtStats::future_wakes`]); the
+    /// waker may fire on any thread.
+    pub(crate) fn task_woken(&self) {
+        self.counters
+            .add_from(self.local_index(), |c| &c.future_wakes);
         self.record_task_event(Event::TaskWake);
     }
 
@@ -1405,23 +1278,22 @@ impl PoolInner {
     /// `notify_parked`, so the no-lost-wakeup argument on that method
     /// covers re-pushes exactly as it covers fresh submissions.
     pub(crate) fn repush(self: &Arc<Self>, job: JobRef) {
-        self.stats.future_repushes.fetch_add(1, Ordering::Relaxed);
+        let local = self.local_index();
+        self.counters.add_from(local, |c| &c.future_repushes);
         self.record_task_event(Event::TaskRepush);
-        if let Some((pool, w)) = current_worker() {
-            if Arc::ptr_eq(&pool, self) {
-                return match self.deques[w].push(job) {
-                    Ok(()) => {
-                        self.stats.pushes.fetch_add(1, Ordering::Relaxed);
-                        let len = self.deques[w].len();
-                        self.with_controller(|ctl, act| ctl.on_push(WorkerId(w), len, act));
-                        self.notify_parked();
-                    }
-                    // Deque full: overflow to the injector rather than
-                    // executing inline — a wake must not nest a poll
-                    // inside whatever job is currently running.
-                    Err(e) => self.inject(e.0),
-                };
-            }
+        if let Some(w) = local {
+            return match self.deques[w].push(job) {
+                Ok(()) => {
+                    add(&self.counters.worker(w).pushes, 1);
+                    let len = self.deques[w].len();
+                    self.with_controller(|ctl, act| ctl.on_push(WorkerId(w), len, act));
+                    self.notify_parked();
+                }
+                // Deque full: overflow to the injector rather than
+                // executing inline — a wake must not nest a poll
+                // inside whatever job is currently running.
+                Err(e) => self.inject(e.0),
+            };
         }
         self.inject(job);
     }
@@ -1476,14 +1348,12 @@ impl PoolInner {
         }
         let parked = t0.elapsed();
         let parked_ns = parked.as_nanos() as u64;
-        self.stats.parks.fetch_add(1, Ordering::Relaxed);
-        self.stats.parked_ns.fetch_add(parked_ns, Ordering::Relaxed);
+        let counters = self.counters.worker(w);
+        add(&counters.parks, 1);
+        add(&counters.parked_ns, parked_ns);
         if let Some(emu) = &self.emu {
             let charge = emu.account_parked(w, parked);
             self.record_power(w, PowerKind::Parked, charge);
-        }
-        if let Some(hub) = &self.metrics {
-            hub.add_parked_ns(w, parked_ns);
         }
         if let Some(sink) = self.sink.as_deref() {
             sink.record(
@@ -1517,14 +1387,14 @@ impl PoolInner {
     fn push_job(&self, w: usize, job: JobRef) -> Result<(), JobRef> {
         match self.deques[w].push(job) {
             Ok(()) => {
-                self.stats.pushes.fetch_add(1, Ordering::Relaxed);
+                add(&self.counters.worker(w).pushes, 1);
                 let len = self.deques[w].len();
                 self.with_controller(|ctl, act| ctl.on_push(WorkerId(w), len, act));
                 self.notify_parked();
                 Ok(())
             }
             Err(e) => {
-                self.stats.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
+                add(&self.counters.worker(w).inline_fallbacks, 1);
                 Err(e.0)
             }
         }
@@ -1533,7 +1403,7 @@ impl PoolInner {
     /// Pop from worker `w`'s own deque, running the workload hook.
     fn pop_job(&self, w: usize) -> Option<JobRef> {
         let job = self.deques[w].pop()?;
-        self.stats.pops.fetch_add(1, Ordering::Relaxed);
+        add(&self.counters.worker(w).pops, 1);
         let len = self.deques[w].len();
         self.with_controller(|ctl, act| ctl.on_pop(WorkerId(w), len, act));
         Some(job)
@@ -1569,17 +1439,13 @@ impl PoolInner {
     /// `order` is the caller's reusable sweep buffer (each worker loop
     /// owns one, so the hot path never allocates).
     fn steal_job(&self, w: usize, rng: &mut SmallRng, order: &mut Vec<usize>) -> Option<JobRef> {
-        // Time the sweep only when the live-metrics hub exists; the
-        // sinkless steal path keeps its exact pre-metrics shape.
-        match &self.metrics {
-            None => self.steal_job_inner(w, rng, order),
-            Some(hub) => {
-                let t0 = Instant::now();
-                let job = self.steal_job_inner(w, rng, order);
-                hub.add_steal_ns(w, t0.elapsed().as_nanos() as u64);
-                job
-            }
-        }
+        let t0 = Instant::now();
+        let job = self.steal_job_inner(w, rng, order);
+        add(
+            &self.counters.worker(w).steal_ns,
+            t0.elapsed().as_nanos() as u64,
+        );
+        job
     }
 
     fn steal_job_inner(
@@ -1617,7 +1483,7 @@ impl PoolInner {
                     task: job,
                     victim_len,
                 } => {
-                    self.stats.steals.fetch_add(1, Ordering::Relaxed);
+                    add(&self.counters.worker(w).steals, 1);
                     // The controller sees the victim length captured at
                     // the steal's commit point. Re-reading the deque here
                     // would race: another thief (or the owner) may have
@@ -1630,13 +1496,13 @@ impl PoolInner {
                     return Some(job);
                 }
                 Steal::Empty => {
-                    self.stats.empty_steals.fetch_add(1, Ordering::Relaxed);
+                    add(&self.counters.worker(w).empty_steals, 1);
                 }
                 Steal::Retry => {
                     // Contention, not starvation: the victim had work but
                     // this thief lost the race for it. Move on to the
                     // next victim; the sweep will come back around.
-                    self.stats.lost_race_steals.fetch_add(1, Ordering::Relaxed);
+                    add(&self.counters.worker(w).lost_race_steals, 1);
                 }
             }
         }
@@ -1660,17 +1526,14 @@ impl PoolInner {
         let t0 = Instant::now();
         // SAFETY: single-execution obligation forwarded to the caller.
         unsafe { job.execute() };
-        if self.emu.is_some() || self.metrics.is_some() {
-            let elapsed = t0.elapsed();
-            if let Some(emu) = &self.emu {
-                let charge = emu.account_and_dilate(w, elapsed);
-                self.record_power(w, PowerKind::Busy, charge);
-            }
-            if let Some(hub) = &self.metrics {
-                hub.add_busy_ns(w, elapsed.as_nanos() as u64);
-                hub.add_task(w);
-            }
+        let elapsed = t0.elapsed();
+        if let Some(emu) = &self.emu {
+            let charge = emu.account_and_dilate(w, elapsed);
+            self.record_power(w, PowerKind::Busy, charge);
         }
+        let counters = self.counters.worker(w);
+        add(&counters.busy_ns, elapsed.as_nanos() as u64);
+        add(&counters.tasks, 1);
         if let Some(el) = &self.elastic {
             el.set_state(w, WorkerState::Stealing);
         }
@@ -2334,31 +2197,33 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_is_live_and_gated_on_a_sink() {
-        use hermes_telemetry::{NullSink, RingSink};
-        // Structural "null path is free": no sink (or a NullSink) means
-        // no hub exists, so the hot paths cannot even reach a store.
-        assert!(Pool::new(1).metrics().is_none());
-        assert!(Pool::builder()
-            .workers(1)
-            .telemetry(Arc::new(NullSink) as Arc<dyn TelemetrySink>)
-            .build()
-            .metrics()
-            .is_none());
-        let sink = Arc::new(RingSink::new(2));
-        let pool = Pool::builder()
+    fn metrics_snapshot_is_live_on_an_untraced_pool() {
+        // No telemetry sink: the counter blocks are always on.
+        let mut pool = Pool::builder()
             .workers(2)
-            .telemetry(sink as Arc<dyn TelemetrySink>)
+            .spin_budget(1)
+            .elastic(ElasticConfig {
+                cooldown_ns: 100_000,
+                ..ElasticConfig::default()
+            })
             .build();
         pool.install(|| {
             let mut v: Vec<u64> = (0..20_000).collect();
             parallel_for(&mut v, 64, spin_work);
         });
-        // Mid-run (the pool is NOT stopped): counters are visible.
-        let snap = pool.metrics().expect("sink attached means a hub");
+        // Mid-run (the pool is NOT stopped): counters become visible. A
+        // worker counts a job just after running it, so `install` may
+        // return a moment before its own job is counted.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let snap = loop {
+            let snap = pool.metrics();
+            if snap.tasks() > 0 && snap.busy_ns() > 0 {
+                break snap;
+            }
+            assert!(Instant::now() < deadline, "counters never showed: {snap:?}");
+            std::thread::yield_now();
+        };
         assert_eq!(snap.workers.len(), 2);
-        assert!(snap.tasks() > 0, "{snap:?}");
-        assert!(snap.busy_ns() > 0, "{snap:?}");
         assert!(snap.at_ns > 0);
         let util = snap.utilization();
         assert!((0.0..=1.0).contains(&util), "{util}");
@@ -2367,10 +2232,59 @@ mod tests {
             let mut v: Vec<u64> = (0..20_000).collect();
             parallel_for(&mut v, 64, spin_work);
         });
-        let later = pool.metrics().unwrap();
+        let later = pool.metrics();
         assert!(later.tasks() >= snap.tasks());
         assert!(later.busy_ns() >= snap.busy_ns());
         assert!(later.at_ns > snap.at_ns);
+        // Idle long enough for parks or elastic sleeps to close, then
+        // quiesce: a worker's parked time is its parks plus its sleeps.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.stats().parked_ns + pool.stats().slept_ns == 0 {
+            assert!(Instant::now() < deadline, "workers never blocked");
+            std::thread::sleep(Duration::from_millis(5));
+            pool.install(|| ());
+        }
+        pool.stop();
+        let stats = pool.stats();
+        let settled = pool.metrics();
+        assert_eq!(settled.parked_ns(), stats.parked_ns + stats.slept_ns);
+        assert!(settled.tasks() >= later.tasks());
+    }
+
+    #[test]
+    fn untraced_elastic_pool_sees_busy_share_and_counts_like_a_traced_one() {
+        use hermes_telemetry::RingSink;
+        // A fixed workload: ROUNDS installs of one parallel_for each.
+        // Joins per install are fixed by the data size and grain, so
+        // pushes do not depend on the schedule; every pushed job leaves
+        // its deque by one pop or one steal, and every install is one
+        // injector pop. Only the pop/steal split is scheduling noise.
+        const ROUNDS: usize = 10;
+        let run = |sink: Option<Arc<dyn TelemetrySink>>| {
+            let mut builder = Pool::builder().workers(2).elastic(ElasticConfig::default());
+            if let Some(sink) = sink {
+                builder = builder.telemetry(sink);
+            }
+            let mut pool = builder.build();
+            let mut busy_share = 0;
+            for _ in 0..ROUNDS {
+                let mut v: Vec<u64> = (0..20_000).collect();
+                pool.install(|| parallel_for(&mut v, 64, spin_work));
+                busy_share = busy_share.max(pool.busy_share_permille());
+            }
+            pool.stop();
+            (busy_share, pool.stats())
+        };
+        let (busy_share, untraced) = run(None);
+        // The elastic controller and admission read this same window;
+        // untraced, it is live, not 0.
+        assert!(busy_share > 0, "{untraced:?}");
+        let (_, traced) = run(Some(Arc::new(RingSink::new(2))));
+        assert_eq!(untraced.pushes, traced.pushes);
+        let taken = |s: RtStats| s.pops + s.steals + s.injector_pops;
+        assert_eq!(taken(untraced), taken(traced));
+        assert_eq!(taken(untraced), untraced.pushes + ROUNDS as u64);
+        assert_eq!(untraced.inline_fallbacks, traced.inline_fallbacks);
     }
 
     /// Per-element work slow enough that a parallel region spans many OS

@@ -10,7 +10,7 @@ use hermes_rt::{
 use hermes_telemetry::{Event, LatencyHistogram, LatencyRecorder, TelemetrySink, MACHINE_STREAM};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
@@ -20,12 +20,6 @@ use std::time::{Duration, Instant};
 /// histogram snapshot to noise while still catching a breach within one
 /// batch of its onset.
 const BREACH_CHECK_INTERVAL: u64 = 64;
-
-/// How often the admission path refreshes its cached busy-time
-/// utilization estimate from the pool's metrics hub: every this-many
-/// submissions. Between refreshes admission reads two atomics, so the
-/// hot submit path pays the hub's seqlock sweep only on the interval.
-const ADMISSION_REFRESH_INTERVAL: u64 = 64;
 
 /// Per-request submission options for
 /// [`Server::submit_with`]/[`Server::submit_async_with`]: the request
@@ -168,7 +162,7 @@ impl AdmissionPolicy {
     }
 }
 
-/// What [`ServerBuilder::p99_budget`] hands the breach callback.
+/// What [`AdmissionPolicy::p99_budget`] hands the breach callback.
 #[derive(Debug)]
 pub struct P99Breach {
     /// The rolling 99th-percentile latency that crossed the budget, ns.
@@ -178,7 +172,7 @@ pub struct P99Breach {
     /// Requests completed when the breach was detected.
     pub completed: u64,
     /// The flight recorder's retained event tail at detection, when a
-    /// recorder is attached ([`ServerBuilder::flight_recorder`]) — the
+    /// recorder is attached ([`AdmissionPolicy::flight_recorder`]) — the
     /// recent scheduling history leading into the breach.
     pub dump: Option<FlightDump>,
 }
@@ -210,13 +204,6 @@ struct ServeShared {
     /// Utilization estimate (permille) above which background requests
     /// are shed.
     shed_threshold_permille: u32,
-    /// Cached busy-time utilization estimate, permille; refreshed from
-    /// the metrics hub every [`ADMISSION_REFRESH_INTERVAL`] submissions.
-    adm_util_permille: AtomicU32,
-    /// The busy-ns / wall-ns readings at the last refresh, so the
-    /// estimate is windowed (utilization *now*, not since the epoch).
-    adm_last_busy_ns: AtomicU64,
-    adm_last_at_ns: AtomicU64,
     /// Telemetry destination for [`Event::RequestLatency`] and the
     /// request-level span edges; `None` keeps the completion path free
     /// of event work.
@@ -398,19 +385,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Capacity of the pool's submission injector. See
-    /// [`PoolBuilder::injector_capacity`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "regrouped under the admission policy: \
-                `admission(AdmissionPolicy::default().injector_capacity(n))`"
-    )]
-    #[must_use]
-    pub fn injector_capacity(mut self, capacity: usize) -> Self {
-        self.admission.injector_capacity = Some(capacity);
-        self
-    }
-
     /// Deque implementation for the pool's workers.
     #[must_use]
     pub fn deque(mut self, kind: DequeKind) -> Self {
@@ -445,40 +419,6 @@ impl ServerBuilder {
     #[must_use]
     pub fn telemetry(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
         self.telemetry = Some(sink);
-        self
-    }
-
-    /// Attach an always-on [`FlightRecorder`]. See
-    /// [`AdmissionPolicy::flight_recorder`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "regrouped under the admission policy: \
-                `admission(AdmissionPolicy::default().flight_recorder(recorder))`"
-    )]
-    #[must_use]
-    pub fn flight_recorder(mut self, recorder: FlightRecorder) -> Self {
-        self.telemetry = Some(Arc::new(recorder.clone()) as Arc<dyn TelemetrySink>);
-        self.admission.flight = Some(recorder);
-        self
-    }
-
-    /// Arm a one-shot p99 latency budget. See
-    /// [`AdmissionPolicy::p99_budget`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "regrouped under the admission policy: \
-                `admission(AdmissionPolicy::default().p99_budget(budget, callback))`"
-    )]
-    #[must_use]
-    pub fn p99_budget<F>(mut self, budget: Duration, callback: F) -> Self
-    where
-        F: Fn(P99Breach) + Send + Sync + 'static,
-    {
-        self.admission.breach = Some(BreachWatch {
-            budget_ns: budget.as_nanos() as u64,
-            fired: AtomicBool::new(false),
-            callback: Box::new(callback),
-        });
         self
     }
 
@@ -534,9 +474,6 @@ impl ServerBuilder {
                 class_latency: std::array::from_fn(|_| LatencyRecorder::new()),
                 energy: LatencyRecorder::new(),
                 shed_threshold_permille,
-                adm_util_permille: AtomicU32::new(0),
-                adm_last_busy_ns: AtomicU64::new(0),
-                adm_last_at_ns: AtomicU64::new(0),
                 sink: self.telemetry.filter(|s| !s.is_null()),
                 epoch,
                 epoch_offset_ns,
@@ -791,35 +728,14 @@ impl Server {
 
     /// The pool's live utilization estimate, permille of the unit
     /// interval. Two signals, take the larger: instantaneous queue
-    /// pressure (in-flight requests over workers — always available,
-    /// reacts within one submission) and windowed busy time from the
-    /// metrics hub when a telemetry sink is attached (refreshed every
-    /// [`ADMISSION_REFRESH_INTERVAL`] submissions; between refreshes
-    /// it is one relaxed load).
+    /// pressure (in-flight requests over workers — reacts within one
+    /// submission) and the pool's windowed busy share
+    /// ([`Pool::busy_share_permille`], the same signal elastic scaling
+    /// reads).
     fn utilization_estimate_permille(&self) -> u32 {
         let workers = self.pool.workers().max(1) as u64;
         let queue_pressure = ((self.in_flight() * 1000) / workers).min(1000) as u32;
-        let shared = &self.shared;
-        if shared
-            .submitted
-            .load(Ordering::Relaxed)
-            .is_multiple_of(ADMISSION_REFRESH_INTERVAL)
-        {
-            if let Some(snapshot) = self.pool.metrics() {
-                let busy: u64 = snapshot.workers.iter().map(|w| w.busy_ns).sum();
-                let wall = snapshot.at_ns.saturating_mul(workers);
-                let last_busy = shared.adm_last_busy_ns.swap(busy, Ordering::Relaxed);
-                let last_wall = shared.adm_last_at_ns.swap(wall, Ordering::Relaxed);
-                if wall > last_wall {
-                    let permille =
-                        (busy.saturating_sub(last_busy) * 1000 / (wall - last_wall)).min(1000);
-                    shared
-                        .adm_util_permille
-                        .store(permille as u32, Ordering::Relaxed);
-                }
-            }
-        }
-        queue_pressure.max(shared.adm_util_permille.load(Ordering::Relaxed))
+        queue_pressure.max(self.pool.busy_share_permille())
     }
 
     /// Requests submitted so far.
@@ -872,16 +788,16 @@ impl Server {
         self.shared.energy.snapshot()
     }
 
-    /// A live [`MetricsSnapshot`] without quiescing anything:
-    /// [`Pool::metrics`] (per-worker busy/steal/park time, task counts,
-    /// injector depth — seqlock-published by the workers) completed
-    /// with the request-level view only the server has — in-flight
-    /// count and rolling latency/energy quantiles. `None` unless a telemetry
-    /// sink is attached ([`ServerBuilder::telemetry`] or
-    /// [`ServerBuilder::flight_recorder`]).
+    /// A live [`MetricsSnapshot`] without quiescing anything, traced
+    /// or not: [`Pool::metrics`] (per-worker busy/steal/park time, task
+    /// counts, injector depth — read from the workers' counter blocks,
+    /// each field single-writer and monotone, with no consistency
+    /// promised across fields) completed with the request-level view
+    /// only the server has — in-flight count and rolling
+    /// latency/energy quantiles.
     #[must_use]
-    pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        let mut snapshot = self.pool.metrics()?;
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut snapshot = self.pool.metrics();
         snapshot.in_flight = self.in_flight();
         let hist = self.shared.latency.snapshot();
         snapshot.latency_p50_ns = hist.p50();
@@ -889,7 +805,7 @@ impl Server {
         let energy = self.shared.energy.snapshot();
         snapshot.energy_p50_uj = energy.p50();
         snapshot.energy_p99_uj = energy.p99();
-        Some(snapshot)
+        snapshot
     }
 
     /// The pool underneath, for scheduler statistics, energy totals,
@@ -1164,19 +1080,8 @@ mod tests {
 
     #[test]
     fn metrics_are_live_and_carry_request_state() {
-        use hermes_telemetry::RingSink;
+        // No telemetry sink: the counter blocks are always on.
         let server = Server::builder().workers(2).build();
-        assert!(
-            server.metrics().is_none(),
-            "no sink, no metrics hub, no snapshot"
-        );
-        server.shutdown();
-
-        let sink = Arc::new(RingSink::new(2));
-        let server = Server::builder()
-            .workers(2)
-            .telemetry(sink as Arc<dyn TelemetrySink>)
-            .build();
         // A request that holds until we've sampled mid-run metrics.
         let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let release = Arc::clone(&gate);
@@ -1191,7 +1096,7 @@ mod tests {
         // Mid-run: the slow request is admitted and unfinished.
         let deadline = Instant::now() + Duration::from_secs(10);
         let snapshot = loop {
-            let m = server.metrics().expect("sink attached");
+            let m = server.metrics();
             if m.in_flight >= 1 && m.at_ns > 0 {
                 break m;
             }
@@ -1204,11 +1109,16 @@ mod tests {
         gate.store(true, Ordering::SeqCst);
         slow.wait();
         server.drain();
-        let settled = server.metrics().expect("sink attached");
+        let settled = server.metrics();
         assert_eq!(settled.in_flight, 0);
         assert!(settled.latency_p50_ns.is_some(), "17 latencies recorded");
         assert!(settled.latency_p99_ns.is_some());
         assert!(settled.tasks() >= 17, "every request executed on a worker");
+        // Counters are monotone across snapshots.
+        assert!(settled.at_ns > snapshot.at_ns);
+        assert!(settled.tasks() >= snapshot.tasks());
+        assert!(settled.busy_ns() >= snapshot.busy_ns());
+        assert!(settled.busy_ns() > 0, "the slow request's busy time landed");
         let text = hermes_obs::prometheus_text(&settled, "hermes");
         assert!(text.contains("hermes_requests_in_flight 0"));
         server.shutdown();
@@ -1334,13 +1244,13 @@ mod tests {
         // The server-side recorder saw one sample per request, and its
         // quantiles surface through the metrics snapshot.
         assert_eq!(server.request_energy().count(), N);
-        let metrics = server.metrics().expect("sink attached");
+        let metrics = server.metrics();
         assert!(metrics.energy_p50_uj.is_some());
         assert!(metrics.energy_p99_uj.is_some());
         server.stop();
         // Per-worker meters reached the snapshot, so the prometheus
         // energy families render.
-        let settled = server.metrics().expect("sink attached");
+        let settled = server.metrics();
         assert!(settled.workers.iter().any(|w| w.energy_uj > 0));
         let text = hermes_obs::prometheus_text(&settled, "hermes");
         assert!(text.contains("hermes_energy_joules_total{worker=\"0\"}"));
@@ -1493,6 +1403,49 @@ mod tests {
     }
 
     #[test]
+    fn untraced_admission_sheds_on_the_pool_busy_share() {
+        // No sink, and nothing in flight when the background request
+        // arrives: queue pressure reads 0, so only the pool's busy
+        // share can shed it.
+        let server = Server::builder()
+            .workers(2)
+            .elastic(ElasticConfig::default())
+            .admission(AdmissionPolicy::default().shed_utilization(0.05))
+            .build();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let err = loop {
+            server
+                .submit(|| {
+                    let mut v: Vec<u64> = (0..20_000).collect();
+                    hermes_rt::parallel_for(&mut v, 64, |x| {
+                        for _ in 0..2_000 {
+                            *x = std::hint::black_box(x.wrapping_mul(2654435761).rotate_left(7));
+                        }
+                    });
+                })
+                .wait();
+            server.drain();
+            let t = server.submit_with(
+                || (),
+                SubmitOptions::default().priority(Priority::Background),
+            );
+            if let Some(err) = t.shed_error() {
+                break err;
+            }
+            t.wait();
+            assert!(
+                Instant::now() < deadline,
+                "busy share never reached admission"
+            );
+        };
+        assert!(matches!(
+            err.reason,
+            ShedReason::Overloaded { utilization_permille } if utilization_permille >= 50
+        ));
+        server.shutdown();
+    }
+
+    #[test]
     fn unmeetable_deadlines_are_refused_up_front() {
         let server = Server::builder().workers(2).build();
         // Teach the p99 estimate that requests take ~2 ms.
@@ -1553,33 +1506,6 @@ mod tests {
         server.drain();
         assert_eq!(server.completed(), 2);
         server.shutdown();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builder_knobs_still_configure_the_policy() {
-        use hermes_obs::FlightRecorder;
-        use parking_lot::Mutex;
-        // The pre-redesign spelling compiles and behaves identically:
-        // the shims forward into the admission policy.
-        let breaches: Arc<Mutex<Vec<P99Breach>>> = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&breaches);
-        let mut server = Server::builder()
-            .workers(2)
-            .injector_capacity(1 << 12)
-            .flight_recorder(FlightRecorder::new(2))
-            .p99_budget(Duration::ZERO, move |b| seen.lock().push(b))
-            .build();
-        for _ in 0..(2 * BREACH_CHECK_INTERVAL) {
-            drop(server.submit(|| std::hint::black_box(1 + 1)));
-        }
-        server.stop();
-        let breaches = breaches.lock();
-        assert_eq!(breaches.len(), 1, "shimmed p99 budget still fires");
-        assert!(
-            breaches[0].dump.is_some(),
-            "shimmed flight recorder still wired into the breach"
-        );
     }
 
     #[test]

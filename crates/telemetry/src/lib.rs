@@ -52,7 +52,7 @@ pub use event::{Event, PowerKind, SpanPhase, StealOutcome, WakeReason};
 pub use latency::{
     bucket_index, bucket_lower_bound, LatencyHistogram, LatencyRecorder, NUM_BUCKETS,
 };
-pub use metrics::{MetricsHub, MetricsSnapshot, WorkerMetricsSample};
+pub use metrics::{MetricsSnapshot, WorkerMetricsSample};
 pub use report::{RunReport, TransitionMix, WorkerTelemetry};
 pub use ring::{EventRing, DEFAULT_RING_CAPACITY};
 pub use sink::{NullSink, RingSink, TelemetrySink, MACHINE_STREAM};

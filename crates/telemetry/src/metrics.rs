@@ -1,181 +1,35 @@
-//! Live metrics: seqlock-published per-worker counters readable without
-//! quiescing the pool.
+//! Live metrics: the snapshot types a host composes from its always-on
+//! per-worker counters, readable without quiescing the pool.
 //!
 //! [`RunReport`](crate::RunReport) answers "where did the time go" only
 //! after a run drains; admission control and elastic sizing need the
-//! same signal *mid-run*. The [`MetricsHub`] is the bridge: each worker
-//! owns one cache-line-isolated cell and publishes its busy/steal/park
-//! nanosecond totals with plain relaxed stores; any thread may
-//! [`sample`](MetricsHub::sample) the hub at any time and gets a
-//! per-cell-consistent snapshot.
-//!
-//! ## The seqlock protocol
-//!
-//! Classic seqlocks bracket a writer critical section with two counter
-//! bumps (odd = in progress). Our writers never hold an open section —
-//! every update writes exactly one field — so the protocol degenerates
-//! to a version counter:
-//!
-//! * **Writer** (the owning worker, single-writer by construction):
-//!   `field.store(total, Relaxed)` then `seq.store(seq + 1, Release)` —
-//!   two relaxed-class stores, no RMW, no fence on x86.
-//! * **Reader** (any thread): load `seq` (Acquire), load the fields,
-//!   re-load `seq` (Acquire); if the two loads agree the fields are a
-//!   consistent cut, otherwise retry. Individual fields are `AtomicU64`,
-//!   so a "torn" retry can only mean *skew between fields*, never a
-//!   torn word; after a bounded number of retries the reader accepts
-//!   the latest values (the counters are monotone, so skew is bounded
-//!   by one in-flight update).
-//!
-//! Hosts create a hub only when a real telemetry sink is attached, so
-//! the null path does not merely make these stores cheap — the stores
-//! (and the `Instant` reads feeding them) do not exist.
+//! same signal *mid-run*. A [`MetricsSnapshot`] is that mid-run view.
+//! Hosts fill it from counters with a per-field writer contract: one
+//! writer (the owning worker), relaxed, monotone, and no consistency
+//! promised across fields — two fields of one snapshot may straddle an
+//! update.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One worker's published counters plus its version counter, padded to
-/// a cache line so worker-to-worker publishing never false-shares.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Cell {
-    /// Version counter: bumped (Release) after every field store.
-    seq: AtomicU64,
-    /// Nanoseconds spent executing tasks.
-    busy_ns: AtomicU64,
-    /// Nanoseconds spent in steal sweeps (victim selection + attempts).
-    steal_ns: AtomicU64,
-    /// Nanoseconds spent parked on the pool's condvar.
-    parked_ns: AtomicU64,
-    /// Tasks executed (jobs popped, injected, or stolen and run).
-    tasks: AtomicU64,
-}
-
-/// Per-worker live counters published by the scheduler's hot paths and
-/// readable from any thread without stopping the pool.
-///
-/// ```
-/// use hermes_telemetry::MetricsHub;
-/// let hub = MetricsHub::new(2);
-/// hub.add_busy_ns(0, 1_000);
-/// hub.add_task(0);
-/// let s = hub.sample();
-/// assert_eq!(s[0].busy_ns, 1_000);
-/// assert_eq!(s[0].tasks, 1);
-/// assert_eq!(s[1].busy_ns, 0);
-/// ```
-#[derive(Debug)]
-pub struct MetricsHub {
-    cells: Box<[Cell]>,
-}
-
-/// A consistent cut of one worker's [`MetricsHub`] counters.
+/// One worker's counters at one instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerMetricsSample {
     /// Nanoseconds spent executing tasks.
     pub busy_ns: u64,
     /// Nanoseconds spent in steal sweeps.
     pub steal_ns: u64,
-    /// Nanoseconds spent parked.
+    /// Nanoseconds spent parked, elastic sleep included.
     pub parked_ns: u64,
     /// Tasks executed.
     pub tasks: u64,
-    /// Energy attributed to this worker so far, µJ. The hub does not
-    /// track energy (the emulated-DVFS accountant is authoritative);
-    /// hosts with an energy model fill this in when composing a
-    /// [`MetricsSnapshot`], others leave it 0.
+    /// Energy attributed to this worker so far, µJ. The scheduler
+    /// counters do not track energy (the emulated-DVFS accountant is
+    /// authoritative); hosts with an energy model fill this in when
+    /// composing a [`MetricsSnapshot`], others leave it 0.
     pub energy_uj: u64,
 }
 
-impl MetricsHub {
-    /// A hub for `workers` single-writer cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is 0.
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "at least one worker cell is required");
-        MetricsHub {
-            cells: (0..workers).map(|_| Cell::default()).collect(),
-        }
-    }
-
-    /// Number of worker cells.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.cells.len()
-    }
-
-    #[inline]
-    fn publish(cell: &Cell, field: &AtomicU64, delta: u64) {
-        // Single-writer: the owning worker is the only thread storing
-        // to this cell, so load-add-store is race-free. Two stores per
-        // update — the field total and the version bump.
-        field.store(field.load(Ordering::Relaxed) + delta, Ordering::Relaxed);
-        cell.seq
-            .store(cell.seq.load(Ordering::Relaxed) + 1, Ordering::Release);
-    }
-
-    /// Add task-execution time to worker `w`'s cell. Call only from the
-    /// owning worker (single-writer protocol).
-    #[inline]
-    pub fn add_busy_ns(&self, w: usize, ns: u64) {
-        let cell = &self.cells[w];
-        Self::publish(cell, &cell.busy_ns, ns);
-    }
-
-    /// Add steal-sweep time to worker `w`'s cell (owning worker only).
-    #[inline]
-    pub fn add_steal_ns(&self, w: usize, ns: u64) {
-        let cell = &self.cells[w];
-        Self::publish(cell, &cell.steal_ns, ns);
-    }
-
-    /// Add parked time to worker `w`'s cell (owning worker only).
-    #[inline]
-    pub fn add_parked_ns(&self, w: usize, ns: u64) {
-        let cell = &self.cells[w];
-        Self::publish(cell, &cell.parked_ns, ns);
-    }
-
-    /// Count one executed task on worker `w`'s cell (owning worker only).
-    #[inline]
-    pub fn add_task(&self, w: usize) {
-        let cell = &self.cells[w];
-        Self::publish(cell, &cell.tasks, 1);
-    }
-
-    /// Read every worker's counters as a consistent-per-cell snapshot.
-    #[must_use]
-    pub fn sample(&self) -> Vec<WorkerMetricsSample> {
-        self.cells.iter().map(Self::sample_cell).collect()
-    }
-
-    fn sample_cell(cell: &Cell) -> WorkerMetricsSample {
-        // Retry while the version moves under us; the counters are
-        // monotone and each field load is atomic, so after the bounded
-        // retries the latest (at worst one-update-skewed) cut is fine.
-        let mut out = WorkerMetricsSample::default();
-        for _ in 0..64 {
-            let s1 = cell.seq.load(Ordering::Acquire);
-            out = WorkerMetricsSample {
-                busy_ns: cell.busy_ns.load(Ordering::Relaxed),
-                steal_ns: cell.steal_ns.load(Ordering::Relaxed),
-                parked_ns: cell.parked_ns.load(Ordering::Relaxed),
-                tasks: cell.tasks.load(Ordering::Relaxed),
-                energy_uj: 0,
-            };
-            if cell.seq.load(Ordering::Acquire) == s1 {
-                break;
-            }
-        }
-        out
-    }
-}
-
 /// A live view of a pool (or server) at one instant, composed by the
-/// host from its [`MetricsHub`] plus host-only signals (queue depth,
-/// admission counters, the rolling latency histogram).
+/// host from its per-worker counters plus host-only signals (queue
+/// depth, admission counters, the rolling latency histogram).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Nanoseconds since the host's epoch when the snapshot was taken —
@@ -265,57 +119,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    #[test]
-    fn counters_accumulate_per_worker() {
-        let hub = MetricsHub::new(3);
-        hub.add_busy_ns(0, 100);
-        hub.add_busy_ns(0, 50);
-        hub.add_steal_ns(1, 7);
-        hub.add_parked_ns(2, 1_000);
-        hub.add_task(0);
-        hub.add_task(0);
-        let s = hub.sample();
-        assert_eq!(s.len(), 3);
-        assert_eq!(s[0].busy_ns, 150);
-        assert_eq!(s[0].tasks, 2);
-        assert_eq!(s[1].steal_ns, 7);
-        assert_eq!(s[2].parked_ns, 1_000);
-        assert_eq!(s[1].busy_ns, 0);
-    }
-
-    #[test]
-    fn concurrent_readers_see_monotone_counters() {
-        // One writer hammering a cell, readers sampling concurrently:
-        // every observed busy_ns must be monotone non-decreasing per
-        // reader (the seqlock never serves a rolled-back value).
-        let hub = Arc::new(MetricsHub::new(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let hub = Arc::clone(&hub);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut last = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let s = hub.sample()[0];
-                        assert!(s.busy_ns >= last, "{} rolled back past {last}", s.busy_ns);
-                        last = s.busy_ns;
-                    }
-                })
-            })
-            .collect();
-        for _ in 0..100_000 {
-            hub.add_busy_ns(0, 1);
-        }
-        stop.store(true, Ordering::Relaxed);
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(hub.sample()[0].busy_ns, 100_000);
-    }
 
     #[test]
     fn utilization_is_busy_over_worker_time() {
@@ -336,12 +139,6 @@ mod tests {
         assert!((snap.utilization() - 0.5).abs() < 1e-12);
         assert_eq!(snap.busy_ns(), 1_000);
         assert_eq!(MetricsSnapshot::default().utilization(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_worker_hub_panics() {
-        let _ = MetricsHub::new(0);
     }
 
     #[test]

@@ -102,9 +102,13 @@ fn tempo_hooks_fire_under_real_load() {
 fn emulated_dvfs_accounts_energy_under_tempo_control() {
     // Under the unified policy with emulated DVFS, workers spend time at
     // the slow frequency (dilated) and the accountant integrates energy.
-    let pool = tempo_pool(Policy::Unified, 4, DequeKind::The);
+    let mut pool = tempo_pool(Policy::Unified, 4, DequeKind::The);
     let mut keys = uniform_keys(300_000, 14);
     pool.install(|| radix_sort(&mut keys));
+    // Freeze the meters before comparing two reads of them: a worker
+    // still dilating its last job or spinning idle charges energy
+    // between the reads otherwise.
+    pool.stop();
     let energy = pool.total_energy().expect("emulated driver present");
     assert!(energy > 0.0, "energy accounted: {energy}");
     let by_worker = pool.energy_by_worker().expect("emulated driver present");
