@@ -193,7 +193,9 @@ impl TempoConfigBuilder {
 ///
 /// The controller is a pure state machine: hosts provide mutual exclusion
 /// (the simulator is single-threaded; the real runtime serialises hook
-/// calls exactly where the paper's runtime holds the victim lock).
+/// calls exactly where the paper's runtime holds the victim lock). A host
+/// may skip an owner-local hook that [`hook_window`](Self::hook_window)
+/// reports as a no-op: the controller would have ignored it.
 #[derive(Debug, Clone)]
 pub struct TempoController {
     config: TempoConfig,
@@ -221,6 +223,24 @@ pub struct TempoController {
 /// Cap on the logical level, far beyond any realistic procrastination
 /// chain; present only to bound drift.
 const MAX_VIRTUAL: i64 = 60;
+
+/// Where worker `w`'s owner-local hooks are no-ops (see
+/// [`TempoController::hook_window`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HookWindow {
+    /// [`on_push`](TempoController::on_push)`(w, len)` is a no-op iff
+    /// `len <= push_max`: `thld[S]`, or `usize::MAX` in the top band or
+    /// without workload sensitivity.
+    pub push_max: usize,
+    /// [`on_pop`](TempoController::on_pop)`(w, len)` is a no-op iff
+    /// `len >= pop_min`: `thld[S-1]`, or `0` in the bottom band or
+    /// without workload sensitivity.
+    pub pop_min: usize,
+    /// [`on_out_of_work`](TempoController::on_out_of_work)`(w)` is a
+    /// no-op iff `!linked`; `linked` is set when workpath sensitivity is
+    /// on and `w` sits in an immediacy chain.
+    pub linked: bool,
+}
 
 impl TempoController {
     /// Create a controller with every worker at the fastest tempo
@@ -288,6 +308,36 @@ impl TempoController {
     #[must_use]
     pub fn immediacy(&self) -> &ImmediacyList {
         &self.list
+    }
+
+    /// The owner-local hooks' no-op window for `w`: the arguments for
+    /// which [`on_push`](Self::on_push), [`on_pop`](Self::on_pop) and
+    /// [`on_out_of_work`](Self::on_out_of_work) would change nothing —
+    /// no band, level, link, statistic, trace record or actuation. The
+    /// window is tight: a push or pop outside it always moves
+    /// [`stats`](Self::stats), and an out-of-work on a linked worker
+    /// always relinks its chain.
+    ///
+    /// Besides `w`'s own hooks, only [`on_steal`](Self::on_steal) and
+    /// another worker's `on_out_of_work` (both relink chains) and
+    /// [`recompute_thresholds`](Self::recompute_thresholds) move it.
+    #[must_use]
+    pub fn hook_window(&self, w: WorkerId) -> HookWindow {
+        let workload = self.config.policy.workload();
+        let band = self.bands[w.0];
+        let thld = self.table.thresholds();
+        HookWindow {
+            push_max: match thld.get(band) {
+                Some(&t) if workload => t,
+                _ => usize::MAX,
+            },
+            pop_min: if workload && band > 0 {
+                thld[band - 1]
+            } else {
+                0
+            },
+            linked: self.config.policy.workpath() && self.list.is_linked(w),
+        }
     }
 
     /// Statistics accumulated since construction or the last

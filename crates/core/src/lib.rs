@@ -63,7 +63,7 @@ mod thresholds;
 mod trace;
 
 pub use actuator::{FrequencyActuator, NullActuator, RecordingActuator, TempoChange};
-pub use controller::{TempoConfig, TempoConfigBuilder, TempoController};
+pub use controller::{HookWindow, TempoConfig, TempoConfigBuilder, TempoController};
 pub use freq::{FreqMap, Frequency, InvalidFreqMapError};
 pub use immediacy::ImmediacyList;
 pub use policy::Policy;

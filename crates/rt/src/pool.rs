@@ -6,8 +6,8 @@ use crate::job::{HeapJob, JobRef, Priority, StackJob};
 use crate::metrics::{add, Counters, RtStats};
 use crate::task::FutureTask;
 use hermes_core::{
-    Frequency, FrequencyActuator, Policy, TempoChange, TempoConfig, TempoController, TempoStats,
-    WorkerId,
+    Frequency, FrequencyActuator, HookWindow, Policy, TempoChange, TempoConfig, TempoController,
+    TempoStats, WorkerId,
 };
 use hermes_deque::{ClassInjector, Lane, LockFreeDeque, Steal, TaskDeque, TheDeque};
 use hermes_telemetry::{
@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Idle-spin iterations before a worker parks, unless overridden by
@@ -413,6 +413,7 @@ impl PoolBuilder {
             worker_cell,
             cell_order,
             controller: Mutex::new(controller),
+            windows: (0..workers).map(|_| PublishedWindow::default()).collect(),
             driver,
             emu,
             terminate: AtomicBool::new(false),
@@ -431,16 +432,9 @@ impl PoolBuilder {
             distances,
         });
 
-        // Bootstrap tempo: everyone at the fastest frequency.
-        {
-            let mut ctl = inner.controller.lock();
-            let mut act = DriverActuator {
-                driver: inner.driver.as_ref(),
-                sink: inner.sink.as_deref(),
-                epoch: &inner.epoch,
-            };
-            ctl.initialize(&mut act);
-        }
+        // Bootstrap tempo: everyone at the fastest frequency. This also
+        // publishes the first hook windows, before any worker reads them.
+        inner.with_controller(|ctl, act| ctl.initialize(act));
 
         let handles = (0..workers)
             .map(|index| {
@@ -512,10 +506,8 @@ impl Pool {
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        if let Some((pool, _)) = current_worker() {
-            if Arc::ptr_eq(&pool, &self.inner) {
-                return f();
-            }
+        if self.inner.local_index().is_some() {
+            return f();
         }
         let job = StackJob::new(f);
         // SAFETY: we block on the latch below, so the stack frame outlives
@@ -762,11 +754,7 @@ impl Pool {
     #[must_use]
     pub fn current_worker_energy_nj(&self) -> Option<u64> {
         let emu = self.inner.emu.as_ref()?;
-        let (inner, index) = current_worker()?;
-        if !Arc::ptr_eq(&inner, &self.inner) {
-            return None;
-        }
-        Some(emu.worker_energy_nj(index))
+        Some(emu.worker_energy_nj(self.inner.local_index()?))
     }
 
     /// Nanoseconds since the pool started — the timestamp base of every
@@ -892,6 +880,10 @@ pub(crate) struct PoolInner {
     /// distance; see `injector_cell_order`).
     cell_order: Vec<Vec<usize>>,
     controller: Mutex<TempoController>,
+    /// Each worker's [`HookWindow`] as of the controller's latest locked
+    /// hook: the owner-local hooks read it to skip the lock when the
+    /// controller would ignore them (see `PublishedWindow`).
+    windows: Box<[PublishedWindow]>,
     driver: Arc<dyn FrequencyDriver>,
     emu: Option<Arc<EmulatedDvfs>>,
     terminate: AtomicBool,
@@ -923,6 +915,48 @@ pub(crate) struct PoolInner {
     selector: Box<dyn VictimSelector>,
     /// Worker-to-worker steal distances under the configured topology.
     distances: Vec<Vec<u32>>,
+}
+
+/// One worker's published [`HookWindow`], padded to a cache line so a
+/// republish for one worker never invalidates another worker's line.
+///
+/// Written only under the controller lock, at the end of every locked
+/// hook, and only the fields that changed; read by the owner's push, pop
+/// and steal sweep, each of which needs just one field. Relaxed is
+/// enough: a window publishes no other data, and a reader that acts on
+/// it takes the lock.
+///
+/// A stale read is harmless: every foreign write to a worker's band,
+/// link or thresholds is a locked hook of another worker (a thief's
+/// `on_steal`, a neighbour's `on_out_of_work`, a profiler recompute),
+/// and skipping on the window from just before that hook is the same as
+/// running the owner's hook just before it — an order the lock already
+/// allows. The owner's own locked hooks republish before it reads
+/// again, so it never reads a window older than its last hook.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct PublishedWindow {
+    push_max: AtomicUsize,
+    pop_min: AtomicUsize,
+    linked: AtomicBool,
+}
+
+impl PublishedWindow {
+    fn publish(&self, window: HookWindow) {
+        store_if_changed(&self.push_max, window.push_max);
+        store_if_changed(&self.pop_min, window.pop_min);
+        if self.linked.load(Ordering::Relaxed) != window.linked {
+            self.linked.store(window.linked, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Store `value` unless `slot` already holds it, so an unchanged window
+/// leaves its owner's cache line clean.
+fn store_if_changed(slot: &AtomicUsize, value: usize) {
+    if slot.load(Ordering::Relaxed) != value {
+        slot.store(value, Ordering::Relaxed);
+    }
 }
 
 /// Forwards controller actuations to the frequency driver; failures are
@@ -973,9 +1007,9 @@ impl PoolInner {
         let lane = lane_for(&job);
         let cell = match domain_hint {
             Some(d) => d % self.cells.len(),
-            None => match current_worker() {
-                Some((pool, w)) if Arc::ptr_eq(&pool, self) => self.worker_cell[w],
-                _ => self.least_loaded_cell(),
+            None => match self.local_index() {
+                Some(w) => self.worker_cell[w],
+                None => self.least_loaded_cell(),
             },
         };
         // The cells are bounded: on overflow, back off and retry.
@@ -1010,16 +1044,14 @@ impl PoolInner {
                     // priority order eventually frees the full lane —
                     // higher lanes empty first, then the pop reaches
                     // ours.
-                    if let Some((pool, w)) = current_worker() {
-                        if Arc::ptr_eq(&pool, self) {
-                            if let Some(stolen) = self.cells[cell].pop() {
-                                add(&self.counters.worker(w).injector_pops[cell], 1);
-                                // SAFETY: the injector hands each job
-                                // to exactly one popper.
-                                unsafe { self.execute(w, stolen) };
-                            }
-                            continue;
+                    if let Some(w) = self.local_index() {
+                        if let Some(stolen) = self.cells[cell].pop() {
+                            add(&self.counters.worker(w).injector_pops[cell], 1);
+                            // SAFETY: the injector hands each job to
+                            // exactly one popper.
+                            unsafe { self.execute(w, stolen) };
                         }
+                        continue;
                     }
                     std::thread::yield_now();
                 }
@@ -1222,14 +1254,11 @@ impl PoolInner {
     }
 
     /// The calling thread's worker index if it is a worker of this
-    /// pool. Compares pointers only, so unlike [`current_worker`] it
-    /// touches no reference count.
+    /// pool. Compares pointers only: no reference-count traffic.
     fn local_index(&self) -> Option<usize> {
-        CURRENT.with(|c| {
-            c.borrow()
-                .as_ref()
-                .filter(|(weak, _)| std::ptr::eq(weak.as_ptr(), self))
-                .map(|&(_, w)| w)
+        with_current_worker(|cur| {
+            cur.filter(|&(pool, _)| std::ptr::eq(pool, self))
+                .map(|(_, w)| w)
         })
     }
 
@@ -1281,20 +1310,16 @@ impl PoolInner {
         let local = self.local_index();
         self.counters.add_from(local, |c| &c.future_repushes);
         self.record_task_event(Event::TaskRepush);
-        if let Some(w) = local {
-            return match self.deques[w].push(job) {
-                Ok(()) => {
-                    add(&self.counters.worker(w).pushes, 1);
-                    let len = self.deques[w].len();
-                    self.with_controller(|ctl, act| ctl.on_push(WorkerId(w), len, act));
-                    self.notify_parked();
-                }
+        let job = match local {
+            Some(w) => match self.push_job(w, job) {
+                Ok(()) => return,
                 // Deque full: overflow to the injector rather than
-                // executing inline — a wake must not nest a poll
-                // inside whatever job is currently running.
-                Err(e) => self.inject(e.0),
-            };
-        }
+                // executing inline — a wake must not nest a poll inside
+                // whatever job is currently running.
+                Err(job) => job,
+            },
+            None => job,
+        };
         self.inject(job);
     }
 
@@ -1380,32 +1405,36 @@ impl PoolInner {
             let at_ns = self.epoch.elapsed().as_nanos() as u64;
             ctl.drain_transitions(|t| sink.record_transition(at_ns, t));
         }
-    }
-
-    /// Push a job onto worker `w`'s deque, running the workload hook.
-    /// Returns the job back if the deque is full.
-    fn push_job(&self, w: usize, job: JobRef) -> Result<(), JobRef> {
-        match self.deques[w].push(job) {
-            Ok(()) => {
-                add(&self.counters.worker(w).pushes, 1);
-                let len = self.deques[w].len();
-                self.with_controller(|ctl, act| ctl.on_push(WorkerId(w), len, act));
-                self.notify_parked();
-                Ok(())
-            }
-            Err(e) => {
-                add(&self.counters.worker(w).inline_fallbacks, 1);
-                Err(e.0)
-            }
+        // A hook may move any worker's window (steals and relays relink
+        // chains, a recompute moves every threshold): republish them all.
+        for (w, window) in self.windows.iter().enumerate() {
+            window.publish(ctl.hook_window(WorkerId(w)));
         }
     }
 
-    /// Pop from worker `w`'s own deque, running the workload hook.
+    /// Push a job onto worker `w`'s deque, running the workload hook
+    /// unless the published window says it is a no-op. Returns the job
+    /// back if the deque is full.
+    fn push_job(&self, w: usize, job: JobRef) -> Result<(), JobRef> {
+        self.deques[w].push(job).map_err(|e| e.0)?;
+        add(&self.counters.worker(w).pushes, 1);
+        let len = self.deques[w].len();
+        if len > self.windows[w].push_max.load(Ordering::Relaxed) {
+            self.with_controller(|ctl, act| ctl.on_push(WorkerId(w), len, act));
+        }
+        self.notify_parked();
+        Ok(())
+    }
+
+    /// Pop from worker `w`'s own deque, running the workload hook unless
+    /// the published window says it is a no-op.
     fn pop_job(&self, w: usize) -> Option<JobRef> {
         let job = self.deques[w].pop()?;
         add(&self.counters.worker(w).pops, 1);
         let len = self.deques[w].len();
-        self.with_controller(|ctl, act| ctl.on_pop(WorkerId(w), len, act));
+        if len < self.windows[w].pop_min.load(Ordering::Relaxed) {
+            self.with_controller(|ctl, act| ctl.on_pop(WorkerId(w), len, act));
+        }
         Some(job)
     }
 
@@ -1429,11 +1458,12 @@ impl PoolInner {
         {
             return; // another worker took this tick
         }
-        let mut ctl = self.controller.lock();
-        for dq in &self.deques {
-            ctl.record_deque_sample(dq.len());
-        }
-        ctl.recompute_thresholds();
+        self.with_controller(|ctl, _| {
+            for dq in &self.deques {
+                ctl.record_deque_sample(dq.len());
+            }
+            ctl.recompute_thresholds();
+        });
     }
 
     /// `order` is the caller's reusable sweep buffer (each worker loop
@@ -1455,7 +1485,10 @@ impl PoolInner {
         order: &mut Vec<usize>,
     ) -> Option<JobRef> {
         self.maybe_profile();
-        self.with_controller(|ctl, act| ctl.on_out_of_work(WorkerId(w), act));
+        // Immediacy Relay only acts on a worker linked into a chain.
+        if self.windows[w].linked.load(Ordering::Relaxed) {
+            self.with_controller(|ctl, act| ctl.on_out_of_work(WorkerId(w), act));
+        }
         let n = self.deques.len();
         if n <= 1 {
             return None;
@@ -1540,7 +1573,7 @@ impl PoolInner {
     }
 
     /// The join resolution loop: keep the worker useful until `latch`.
-    fn join_on<A, B, RA, RB>(self: &Arc<Self>, w: usize, a: A, b: B) -> (RA, RB)
+    fn join_on<A, B, RA, RB>(&self, w: usize, a: A, b: B) -> (RA, RB)
     where
         A: FnOnce() -> RA + Send,
         B: FnOnce() -> RB + Send,
@@ -1554,6 +1587,7 @@ impl PoolInner {
         let ref_b = unsafe { job_b.as_job_ref() };
         if self.push_job(w, ref_b).is_err() {
             // Deque full: degrade to sequential execution.
+            add(&self.counters.worker(w).inline_fallbacks, 1);
             // SAFETY: run_inline consumes the closure; ref_b was never
             // made visible to other workers.
             let rb = unsafe { job_b.run_inline() };
@@ -1737,22 +1771,27 @@ fn worker_main(inner: &Arc<PoolInner>, index: usize) {
 // Thread-local worker context
 
 thread_local! {
-    static CURRENT: RefCell<Option<(Weak<PoolInner>, usize)>> = const { RefCell::new(None) };
+    /// The calling worker's pool and index, set for the whole of
+    /// `worker_main` (whose own `Arc` it mirrors) and `None` elsewhere.
+    static CURRENT: RefCell<Option<(Arc<PoolInner>, usize)>> = const { RefCell::new(None) };
 }
 
 fn set_current_worker(inner: &Arc<PoolInner>, index: usize) {
-    CURRENT.with(|c| *c.borrow_mut() = Some((Arc::downgrade(inner), index)));
+    CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(inner), index)));
 }
 
 fn clear_current_worker() {
     CURRENT.with(|c| *c.borrow_mut() = None);
 }
 
-fn current_worker() -> Option<(Arc<PoolInner>, usize)> {
-    CURRENT.with(|c| {
-        c.borrow()
-            .as_ref()
-            .and_then(|(weak, idx)| weak.upgrade().map(|p| (p, *idx)))
+/// Run `f` on the calling worker's pool and index (`None` off-pool),
+/// borrowed from the thread-local: `join` runs on every fork, and a
+/// borrow keeps it off the pool's shared reference count, a contended
+/// read-modify-write per clone and per drop.
+fn with_current_worker<R>(f: impl FnOnce(Option<(&PoolInner, usize)>) -> R) -> R {
+    CURRENT.with(|c| match &*c.borrow() {
+        Some((pool, w)) => f(Some((pool, *w))),
+        None => f(None),
     })
 }
 
@@ -1763,7 +1802,7 @@ fn current_worker() -> Option<(Arc<PoolInner>, usize)> {
 /// machine stream.
 #[must_use]
 pub fn current_worker_index() -> Option<usize> {
-    current_worker().map(|(_, idx)| idx)
+    with_current_worker(|cur| cur.map(|(_, w)| w))
 }
 
 /// Emulated energy consumed so far by the worker running the calling
@@ -1775,8 +1814,10 @@ pub fn current_worker_index() -> Option<usize> {
 /// spent inside the bracket.
 #[must_use]
 pub fn current_worker_energy_nj() -> Option<u64> {
-    let (inner, index) = current_worker()?;
-    inner.emu.as_ref().map(|emu| emu.worker_energy_nj(index))
+    with_current_worker(|cur| {
+        let (inner, index) = cur?;
+        inner.emu.as_ref().map(|emu| emu.worker_energy_nj(index))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1801,10 +1842,10 @@ where
     RA: Send,
     RB: Send,
 {
-    match current_worker() {
+    with_current_worker(|cur| match cur {
         Some((pool, w)) => pool.join_on(w, a, b),
         None => (a(), b()),
-    }
+    })
 }
 
 /// Apply `f` to every element of `data` in parallel, recursively splitting
@@ -2340,6 +2381,58 @@ mod tests {
         assert!(stats.steals > 0, "steals observed: {stats}");
         assert!(stats.path_downs > 0, "thief procrastination fired: {stats}");
         assert!(pool.total_energy().unwrap() > 0.0);
+    }
+
+    /// The published hook windows lose no workload transition: with one
+    /// worker (no steals, so the push/pop length sequence of a join tree
+    /// is deterministic) and the profiler frozen, the pool's controller
+    /// must count exactly what a fresh controller counts when every hook
+    /// of that sequence runs under it.
+    #[test]
+    fn skipped_hooks_lose_no_transition() {
+        fn fib(n: u64) -> u64 {
+            if n < 2 {
+                return n;
+            }
+            let (a, b) = join(|| fib(n - 1), || fib(n - 2));
+            a + b
+        }
+        // join(fib(n-1), fib(n-2)) on one worker: push b, run a, pop b
+        // back, run b inline. `len` is the deque length.
+        fn replay(ctl: &mut TempoController, n: u64, len: &mut usize) {
+            if n < 2 {
+                return;
+            }
+            let mut act = hermes_core::NullActuator;
+            *len += 1;
+            ctl.on_push(WorkerId(0), *len, &mut act);
+            replay(ctl, n - 1, len);
+            *len -= 1;
+            ctl.on_pop(WorkerId(0), *len, &mut act);
+            replay(ctl, n - 2, len);
+        }
+        let tempo = TempoConfig::builder()
+            .policy(Policy::Unified)
+            .frequencies(vec![Frequency::from_mhz(2400), Frequency::from_mhz(1600)])
+            .workers(1)
+            .profiler(hermes_core::ProfilerConfig {
+                period_ns: u64::MAX,
+                ..hermes_core::ProfilerConfig::default()
+            })
+            .build();
+        let mut model = TempoController::new(tempo.clone());
+        let pool = Pool::builder().workers(1).tempo(tempo).build();
+        let mut len = 0;
+        for _ in 0..4 {
+            assert_eq!(pool.install(|| fib(15)), 610);
+            replay(&mut model, 15, &mut len);
+            assert_eq!(len, 0);
+        }
+        let (got, want) = (pool.tempo_stats(), model.stats());
+        assert!(want.workload_ups > 0 && want.workload_downs > 0, "{want}");
+        assert_eq!(got.workload_ups, want.workload_ups, "{got} vs {want}");
+        assert_eq!(got.workload_downs, want.workload_downs, "{got} vs {want}");
+        assert_eq!(got.guard_suppressions, want.guard_suppressions);
     }
 
     #[test]

@@ -31,6 +31,8 @@ impl Drop for DropToken {
 /// Shared observation point for one spawned [`Probe`].
 struct Scope {
     polls: Arc<AtomicU32>,
+    /// Polls that returned `Pending`.
+    pending: Arc<AtomicU32>,
     completions: Arc<AtomicU32>,
     drops: Arc<AtomicU32>,
     fired: Arc<AtomicBool>,
@@ -50,6 +52,7 @@ struct Probe {
 #[derive(Clone)]
 struct ProbeShared {
     polls: Arc<AtomicU32>,
+    pending: Arc<AtomicU32>,
     completions: Arc<AtomicU32>,
     fired: Arc<AtomicBool>,
     slot: Arc<Mutex<Option<Waker>>>,
@@ -72,6 +75,7 @@ impl Future for Probe {
             s.done.set();
             return Poll::Ready(());
         }
+        s.pending.fetch_add(1, Ordering::SeqCst);
         Poll::Pending
     }
 }
@@ -79,6 +83,7 @@ impl Future for Probe {
 fn spawn_probe(pool: &Pool) -> Scope {
     let scope = Scope {
         polls: Arc::new(AtomicU32::new(0)),
+        pending: Arc::new(AtomicU32::new(0)),
         completions: Arc::new(AtomicU32::new(0)),
         drops: Arc::new(AtomicU32::new(0)),
         fired: Arc::new(AtomicBool::new(false)),
@@ -88,6 +93,7 @@ fn spawn_probe(pool: &Pool) -> Scope {
     pool.spawn_future(Probe {
         scope: ProbeShared {
             polls: Arc::clone(&scope.polls),
+            pending: Arc::clone(&scope.pending),
             completions: Arc::clone(&scope.completions),
             fired: Arc::clone(&scope.fired),
             slot: Arc::clone(&scope.slot),
@@ -109,16 +115,17 @@ fn wait_for_count(counter: &AtomicU32, expect: u32, what: &str) {
     }
 }
 
-/// Spin until the probe's first poll parked a waker.
+/// Spin until the probe's first poll returned `Pending`, then take the
+/// waker it parked. Waiting for the waker alone is not enough: firing
+/// between the park and the poll's re-check lets that first poll
+/// complete, and the round would test no wake at all.
 fn wait_for_waker(scope: &Scope) -> Waker {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if let Some(w) = scope.slot.lock().take() {
-            return w;
-        }
-        assert!(Instant::now() < deadline, "first poll never parked a waker");
-        std::thread::yield_now();
-    }
+    wait_for_count(&scope.pending, 1, "pending polls");
+    scope
+        .slot
+        .lock()
+        .take()
+        .expect("a pending poll parks its waker first")
 }
 
 /// Wake before the re-poll has happened: a second wake finding the task
